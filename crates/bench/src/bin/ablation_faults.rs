@@ -27,7 +27,7 @@ const CK_EVERY: usize = 3;
 /// *last* save (after step 12 the injector is one step behind the
 /// istep counter) and the fallback walk has something to skip.
 fn campaign_plan() -> FaultPlan {
-    let mut plan = FaultPlan::empty()
+    FaultPlan::empty()
         .with_event(1, Some(0), FaultKind::FieldNan)
         .with_event(2, Some(1), FaultKind::FieldInf)
         .with_event(3, Some(0), FaultKind::FieldBitFlip)
@@ -35,11 +35,7 @@ fn campaign_plan() -> FaultPlan {
         .with_event(5, Some(0), FaultKind::DropMessage { nth: 0 })
         .with_event(6, Some(1), FaultKind::DelayMessage { nth: 1, secs: 0.25 })
         .with_event(7, Some(1), FaultKind::RankStall { secs: 0.5 })
-        .with_event(11, Some(0), FaultKind::CorruptCheckpoint { byte_frac: 0.55 });
-    // Short real-time deadline so the dropped message resolves quickly;
-    // the modeled virtual-time penalty keeps its default.
-    plan.recv_timeout_ms = 250;
-    plan
+        .with_event(11, Some(0), FaultKind::CorruptCheckpoint { byte_frac: 0.55 })
 }
 
 /// Flip one byte at fractional offset `frac` of `path` (what the
@@ -64,9 +60,8 @@ fn checksum(bits: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Cut the wall-clock-dependent tail off a timeout note (the
-/// blocked-rank snapshot depends on where the other threads happened to
-/// be at expiry; everything before "timed out" is deterministic).
+/// Cut the blocked-rank snapshot off a timeout note, keeping the report
+/// to one short line per event.
 fn stable_note(what: &str) -> String {
     match what.split_once(" timed out") {
         Some((head, _)) => format!("{head} timed out …); holding stale ghost"),
@@ -130,13 +125,11 @@ const NL_N2: usize = 12;
 const NL_STEPS: usize = 6;
 
 fn nonlinear_plan() -> FaultPlan {
-    let mut plan = FaultPlan::empty()
+    FaultPlan::empty()
         // The exact formerly-deadlocking event: a NaN into rank 0's
         // field on the nonlinear path, step 2.
         .with_event(2, Some(0), FaultKind::FieldNan)
-        .with_event(4, Some(1), FaultKind::FieldInf);
-    plan.recv_timeout_ms = 250;
-    plan
+        .with_event(4, Some(1), FaultKind::FieldInf)
 }
 
 /// The nonlinear-pulse campaign run.

@@ -187,15 +187,14 @@ pub fn add_table1_full(report: &mut BenchReport) {
 }
 
 /// The event scheduler's own launch counters, pinned by the gate: a
-/// fixed 8-rank ring exchange + ganged reduction, explicitly on the
-/// event-driven universe (the env override must not perturb the
-/// baseline).  Dispatch and quiescence counts are
+/// fixed 8-rank ring exchange + ganged reduction in the default
+/// dispatch order.  Dispatch and quiescence counts are
 /// schedule-deterministic, so an exact gate on them notices any change
 /// to the engine's dispatch policy — the one quantity the bit-identical
-/// clock gates cannot see, because both universes charge the same
-/// clocks by construction.
+/// clock gates cannot see, because every dispatch order charges the
+/// same clocks by construction.
 pub fn add_sched(report: &mut BenchReport) {
-    let (_, stats) = Spmd::new(8).universe(Universe::EventDriven).run_observed(|ctx| {
+    let (_, stats) = Spmd::new(8).run_observed(|ctx| {
         let rank = ctx.rank();
         let n = ctx.comm.n_ranks();
         let mut acc = rank as f64;
@@ -256,15 +255,13 @@ pub fn add_fuse(report: &mut BenchReport) {
 /// The deterministic 2-rank fault-recovery run behind the `faults.*`
 /// entries: a NaN landing in the field, an injected solver breakdown,
 /// and a delayed halo message, all recovered from.  The coordinates
-/// (linear 16×8 pulse, 2×1 tiling, short real-time recv deadline)
-/// mirror the `ablation_faults` campaign, whose golden pins them down.
+/// (linear 16×8 pulse, 2×1 tiling) mirror the `ablation_faults`
+/// campaign, whose golden pins them down.
 pub fn fault_mini_plan() -> FaultPlan {
-    let mut plan = FaultPlan::empty()
+    FaultPlan::empty()
         .with_event(1, Some(0), FaultKind::FieldNan)
         .with_event(4, None, FaultKind::SolverBreakdown { count: 1 })
-        .with_event(6, Some(1), FaultKind::DelayMessage { nth: 1, secs: 0.25 });
-    plan.recv_timeout_ms = 250;
-    plan
+        .with_event(6, Some(1), FaultKind::DelayMessage { nth: 1, secs: 0.25 })
 }
 
 /// The mini campaign's scenario in `v2d-testkit` terms (one spec, so
@@ -278,12 +275,11 @@ pub fn fault_mini_spec() -> MiniSpec {
 /// pulse, 2×1 tiling, FieldNan into rank 0 at step 2 — now gated under
 /// `faults_nl.*` entries since the scrub rung recovers it.
 pub fn fault_mini_nl_spec() -> MiniSpec {
-    let mut plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::FieldNan).with_event(
+    let plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::FieldNan).with_event(
         4,
         Some(1),
         FaultKind::FieldInf,
     );
-    plan.recv_timeout_ms = 250;
     MiniSpec::nonlinear(24, 12, 6).tiled(2, 1).with_plan(plan)
 }
 

@@ -74,9 +74,8 @@ pub fn run_topology(cfg: &V2dConfig, nx1: usize, nx2: usize) -> Row {
 /// Every `(NX1, NX2)` factorization with `NX1 · NX2 ≤ max_np`, ordered
 /// by rank count then NX1 — the *full* Table I grid, of which the
 /// paper's twelve [`TOPOLOGIES`] are a subset.  Exhausting it (≈ 200
-/// topologies at `max_np = 50`, many of them 30+ ranks) was impractical
-/// under thread-per-rank scheduling; on the event-driven universe every
-/// blocked rank is just a heap entry.
+/// topologies at `max_np = 50`, many of them 30+ ranks) is cheap because
+/// on the event core every blocked rank is just a parked carrier.
 pub fn full_grid(max_np: usize) -> Vec<(usize, usize)> {
     let mut grid = Vec::new();
     for np in 1..=max_np {

@@ -1,16 +1,26 @@
-//! The conservative discrete-event core behind the event-driven
-//! universe.
+//! The conservative discrete-event core behind every [`Spmd`] launch.
 //!
 //! One logical thread of control hops between rank *tasks*: every task
 //! is a resumable step function whose yield points are the blocking
 //! communication sites (`recv`, the collective entry/exit waits).  A
-//! min-heap keyed on `(virtual clock at block time, rank)` decides who
-//! runs next, and exactly one task executes at any instant — the OS
-//! threads the universe spawns are inert continuation carriers that
-//! stay parked unless the scheduler hands them the baton.
+//! min-heap of ready tasks decides who runs next, and exactly one task
+//! executes at any instant — the OS threads the launch spawns are inert
+//! continuation carriers that stay parked unless the scheduler hands
+//! them the baton.
+//!
+//! The heap's priority is the dispatch *order*:
+//!
+//! * [`Universe::EventDriven`] keys each ready task on `(virtual clock
+//!   at block time, rank)` — the production order;
+//! * [`Universe::Shuffled`] keys it on a seeded splitmix64 draw taken
+//!   when the task becomes ready, so `advance` makes a seeded,
+//!   replayable choice among all ready tasks.  The modeled results do
+//!   not depend on the order (messages carry their send clocks, and
+//!   collectives reduce in rank order), so any difference between a
+//!   shuffled run and the default one is a schedule-dependence bug.
 //!
 //! Because nothing here ever consults the wall clock, the schedule is a
-//! pure function of the program and the fault plan:
+//! pure function of the program, the fault plan and the order:
 //!
 //! * **Timeouts are exact.**  A fault-armed receive times out if and
 //!   only if the run reaches *quiescence* (no task ready, no task
@@ -22,9 +32,8 @@
 //!   [`CommError::Deadlock`] carrying the full wait graph instead of a
 //!   watchdog guessing from outside.
 //!
-//! Quiescence is resolved in a fixed order mirroring the legacy thread
-//! backend's deadline hierarchy (p2p deadlines are shorter than
-//! collective deadlines there):
+//! Quiescence is resolved in a fixed order, independent of the dispatch
+//! order (waiters are picked by their clock, not their heap priority):
 //!
 //! 1. a fault-armed p2p receive waiter times out (min `(clock, rank)`
 //!    first), and charges the injector's modeled timeout cost;
@@ -33,18 +42,138 @@
 //!    cost; every other collective waiter unwinds on the poison;
 //! 3. else the run is deadlocked: every blocked task is resumed with
 //!    the wait graph.
+//!
+//! [`Spmd`]: crate::Spmd
+//! [`Universe::EventDriven`]: crate::Universe::EventDriven
+//! [`Universe::Shuffled`]: crate::Universe::Shuffled
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::Thread;
 
+use v2d_machine::fault::SplitMix64;
 use v2d_machine::SimDuration;
 
-use crate::comm::{
-    finish_round, lock_tolerant, stamp_ticket, BlockedRank, CollKind, CollRound, CollTicket,
-    CommError, Message, WaitEdge, WaitOn,
-};
+use crate::comm::{BlockedRank, CollTicket, CommError, ReduceOp, WaitEdge, WaitOn};
+
+/// Lock a mutex, recovering the data if a rank carrier panicked while
+/// holding it (our state stays consistent: every critical section
+/// below is a plain read-modify-write with no tearing on unwind).
+fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Process-wide count of fresh message-payload allocations.  The pooled
+/// send/[`crate::Comm::recv_into`] path recycles payload buffers through the
+/// group's free list, so a warm halo-exchange loop should hold this
+/// constant; `ablation_alloc` and the `halo_alloc` test assert it.
+static MSG_BUF_ALLOC: AtomicU64 = AtomicU64::new(0);
+
+/// How many message payload buffers have been freshly allocated.
+pub fn msg_buf_alloc_count() -> u64 {
+    MSG_BUF_ALLOC.load(Ordering::Relaxed)
+}
+
+/// Record one fresh payload allocation.
+fn count_fresh_alloc() {
+    MSG_BUF_ALLOC.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Upper bound on pooled payload buffers per rank group (beyond this,
+/// returned buffers are simply dropped).
+const POOL_CAP: usize = 64;
+
+/// A point-to-point message: payload plus the sender's per-lane virtual
+/// clocks at send time.
+pub(crate) struct Message {
+    pub(crate) tag: u32,
+    pub(crate) data: Vec<f64>,
+    pub(crate) send_clocks: Vec<SimDuration>,
+}
+
+/// One round of a data-carrying collective, driven by the event core's
+/// scheduler.  The result is reduced in rank order, so it does not
+/// depend on which rank deposited first.
+struct CollRound {
+    /// Per-rank contribution: (payload, per-lane clocks).
+    contrib: Vec<Option<(Vec<f64>, Vec<SimDuration>)>>,
+    deposited: usize,
+    /// Result payload + per-lane synchronized clocks (before cost).
+    result: Option<(Arc<Vec<f64>>, Vec<SimDuration>)>,
+    left: usize,
+    /// Lockstep ticket stamped by the round's first depositor; later
+    /// depositors must present the same `(site, epoch)` or the round is
+    /// declared diverged.  Cleared when the round drains.
+    ticket: Option<CollTicket>,
+    /// Sticky divergence/timeout verdict.  Once set, every in-flight
+    /// and future collective on this communicator returns it — a group
+    /// that lost a member can never complete another round, so waiting
+    /// would be the very deadlock the verifier exists to prevent.
+    poison: Option<CommError>,
+}
+
+impl CollRound {
+    fn new(n: usize) -> Self {
+        CollRound {
+            contrib: (0..n).map(|_| None).collect(),
+            deposited: 0,
+            result: None,
+            left: 0,
+            ticket: None,
+            poison: None,
+        }
+    }
+}
+
+/// What a collective does with the deposited contributions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CollKind {
+    Reduce(ReduceOp),
+    Concat,
+    TakeRoot(usize),
+}
+
+/// Combine a full round of contributions: the result payload
+/// (rank-ordered, so bitwise deterministic) plus the per-lane
+/// synchronized clocks (max over ranks, the conservative PDES sync).
+fn finish_round(
+    contribs: Vec<(Vec<f64>, Vec<SimDuration>)>,
+    kind: CollKind,
+) -> (Vec<f64>, Vec<SimDuration>) {
+    let lanes = contribs[0].1.len();
+    let mut sync = vec![SimDuration::ZERO; lanes];
+    for (_, cl) in &contribs {
+        for (s, &c) in sync.iter_mut().zip(cl) {
+            if c > *s {
+                *s = c;
+            }
+        }
+    }
+    let payload = match kind {
+        CollKind::Reduce(op) => {
+            let len = contribs[0].0.len();
+            let mut out = vec![op.identity(); len];
+            for (vals, _) in &contribs {
+                assert_eq!(vals.len(), len, "reduce contributions differ in length");
+                for (o, &v) in out.iter_mut().zip(vals) {
+                    *o = op.fold(*o, v);
+                }
+            }
+            out
+        }
+        CollKind::Concat => {
+            let mut out = Vec::new();
+            for (vals, _) in &contribs {
+                out.extend_from_slice(vals);
+            }
+            out
+        }
+        CollKind::TakeRoot(root) => contribs[root].0.clone(),
+    };
+    (payload, sync)
+}
 
 /// Where a task's carrier stands in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +206,7 @@ enum Wait {
 enum Verdict {
     /// A fault-armed receive reached quiescence: the message can never
     /// arrive.  `blocked` is the p2p deadlock diagnostic (the other
-    /// ranks sitting in receives), matching the thread backend's shape.
+    /// ranks sitting in receives).
     P2pTimeout { blocked: Vec<BlockedRank> },
     /// This task is the collective-timeout reporter; the round is
     /// poisoned with exactly this error and the reporter charges the
@@ -106,8 +235,9 @@ struct Task {
     status: Status,
     /// Carrier thread handle, parked whenever the task is not running.
     carrier: Option<Thread>,
-    /// Scheduling key: lane-0 virtual clock (cycles) when the task last
-    /// blocked.  Ties break by rank id, so the schedule is total.
+    /// Lane-0 virtual clock (cycles) when the task last blocked: the
+    /// default dispatch priority, and the quiescence tie-break under
+    /// every order.  Ties break by rank id, so the schedule is total.
     key: u64,
     wait: Option<Wait>,
     verdict: Option<Verdict>,
@@ -118,12 +248,14 @@ struct Task {
 /// parked carriers only touch it on their way in and out of a wait.
 struct CoreState {
     tasks: Vec<Task>,
-    /// Min-heap of `(key, rank)` over `Ready` tasks.  Entries can go
-    /// stale (a task readied and dispatched through a newer entry);
+    /// Min-heap of `(priority, rank)` over `Ready` tasks.  Entries can
+    /// go stale (a task readied and dispatched through a newer entry);
     /// [`EventCore::advance`] skips entries whose task is not `Ready`.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// `mail[dst][src]`: in-order message queue, the event-core analogue
-    /// of the thread backend's per-pair channels.
+    /// `Some` under a shuffled order: the stream each ready task's heap
+    /// priority is drawn from.  `None` keys the heap on [`Task::key`].
+    shuffle: Option<SplitMix64>,
+    /// `mail[dst][src]`: in-order message queue per ordered rank pair.
     mail: Vec<Vec<VecDeque<Message>>>,
     coll: CollRound,
     /// Liveness registry: `dead[r]` is set by [`EventCore::kill`] when
@@ -155,7 +287,9 @@ pub(crate) struct EventCore {
 }
 
 impl EventCore {
-    pub(crate) fn new(n_ranks: usize) -> Arc<EventCore> {
+    /// A core for `n_ranks` tasks.  `shuffle` seeds a shuffled dispatch
+    /// order; `None` is the default `(clock, rank)` order.
+    pub(crate) fn new(n_ranks: usize, shuffle: Option<u64>) -> Arc<EventCore> {
         let tasks = (0..n_ranks)
             .map(|_| Task {
                 status: Status::Registering,
@@ -170,6 +304,7 @@ impl EventCore {
             state: Mutex::new(CoreState {
                 tasks,
                 ready: BinaryHeap::new(),
+                shuffle: shuffle.map(SplitMix64::new),
                 mail: (0..n_ranks)
                     .map(|_| (0..n_ranks).map(|_| VecDeque::new()).collect())
                     .collect(),
@@ -194,7 +329,7 @@ impl EventCore {
     }
 
     /// Called by each carrier as it comes up.  The last one to register
-    /// seeds the ready heap with every rank (key 0, so rank order) and
+    /// readies every rank (key 0, so rank order by default) and
     /// dispatches the first task.
     pub(crate) fn register(&self, rank: usize) {
         let mut st = lock_tolerant(&self.state);
@@ -203,7 +338,7 @@ impl EventCore {
         if st.registered == self.n_ranks {
             for r in 0..self.n_ranks {
                 st.tasks[r].status = Status::Ready;
-                st.ready.push(Reverse((0, r)));
+                Self::push_ready(&mut st, r);
             }
             self.advance(&mut st);
         }
@@ -228,8 +363,7 @@ impl EventCore {
     /// longer complete.  The caller is the dying rank itself, still
     /// Running — no dispatch happens here; its eventual
     /// [`EventCore::finish`] hands the baton onward as usual.  Messages
-    /// it posted before dying stay in the mail queues (deliverable),
-    /// matching the thread backend, whose channels cannot un-send.
+    /// it posted before dying stay in the mail queues (deliverable).
     pub(crate) fn kill(&self, rank: usize) {
         let mut st = lock_tolerant(&self.state);
         st.dead[rank] = true;
@@ -282,8 +416,7 @@ impl EventCore {
     /// Ready heap empty, at least one task blocked: decide how the wait
     /// set unwinds.  Always readies at least one task.
     fn resolve_quiescence(st: &mut CoreState) {
-        // The p2p deadlock diagnostic, same shape as the thread
-        // backend's `blocked_ranks()` snapshot: every rank blocked in a
+        // The p2p deadlock diagnostic: every rank blocked in a
         // point-to-point receive.
         let p2p: Vec<BlockedRank> = st
             .tasks
@@ -365,9 +498,18 @@ impl EventCore {
     fn make_ready(st: &mut CoreState, r: usize) {
         if st.tasks[r].status == Status::Blocked {
             st.tasks[r].status = Status::Ready;
-            let key = st.tasks[r].key;
-            st.ready.push(Reverse((key, r)));
+            Self::push_ready(st, r);
         }
+    }
+
+    /// Queue ready task `r` at its dispatch priority: its clock key, or
+    /// the next seeded draw under a shuffled order.
+    fn push_ready(st: &mut CoreState, r: usize) {
+        let prio = match &mut st.shuffle {
+            Some(rng) => rng.next_u64(),
+            None => st.tasks[r].key,
+        };
+        st.ready.push(Reverse((prio, r)));
     }
 
     fn wake_collective_waiters(st: &mut CoreState) {
@@ -404,7 +546,7 @@ impl EventCore {
 
     /// Deliver a message; wakes the destination if it is blocked on
     /// this source.  The sender keeps the baton (sends are buffered and
-    /// non-blocking, exactly like the thread backend).
+    /// non-blocking).
     pub(crate) fn post(&self, src: usize, dst: usize, msg: Message) {
         let mut st = lock_tolerant(&self.state);
         st.mail[dst][src].push_back(msg);
@@ -419,8 +561,8 @@ impl EventCore {
 
     /// Pull the next message off the `src → rank` queue, blocking (in
     /// virtual time) until one is posted.  `armed` marks the wait as
-    /// carrying an injector deadline; `key` is the caller's lane-0
-    /// clock, the scheduling priority while blocked.
+    /// carrying an injector timeout; `key` is the caller's lane-0
+    /// clock, the default scheduling priority while blocked.
     pub(crate) fn recv_msg(
         &self,
         rank: usize,
@@ -457,12 +599,11 @@ impl EventCore {
         }
     }
 
-    /// The event-core collective: same round state machine as the
-    /// thread backend (`CollRound`, lockstep tickets, rank-ordered
+    /// One collective round (`CollRound`, lockstep tickets, rank-ordered
     /// reduction via [`finish_round`], sticky poison) with scheduler
-    /// waits in place of condvar waits.  Returns the payload and the
-    /// synchronized clocks; the caller applies the cost epilogue.
-    #[allow(clippy::too_many_arguments)] // mirrors the thread backend's collective signature
+    /// waits.  Returns the payload and the synchronized clocks; the
+    /// caller applies the cost epilogue.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn collective(
         &self,
         rank: usize,
@@ -499,9 +640,15 @@ impl EventCore {
         }
         // Lockstep verification: first depositor stamps the round's
         // ticket, everyone else must present the same one.
-        if let Err(e) = stamp_ticket(&mut st.coll, rank, ticket) {
-            Self::wake_collective_waiters(&mut st);
-            return Err(CollFailure::plain(e));
+        match st.coll.ticket {
+            None => st.coll.ticket = Some(ticket),
+            Some(expected) if expected != ticket => {
+                let err = CommError::CollectiveMismatch { rank, expected, got: ticket };
+                st.coll.poison = Some(err.clone());
+                Self::wake_collective_waiters(&mut st);
+                return Err(CollFailure::plain(err));
+            }
+            Some(_) => {}
         }
         assert!(
             st.coll.contrib[rank].is_none(),
@@ -572,22 +719,24 @@ impl EventCore {
         }
     }
 
-    /// Pool bookkeeping, same contract as the thread backend's
-    /// `Shared::take_buf` / `Shared::return_buf`.
+    /// An empty buffer with capacity ≥ `len`, reused from the pool when
+    /// possible (a fresh allocation is counted in
+    /// [`crate::msg_buf_alloc_count`]).
     pub(crate) fn take_buf(&self, len: usize) -> Vec<f64> {
         let mut st = lock_tolerant(&self.state);
         if let Some(i) = st.pool.iter().position(|b| b.capacity() >= len) {
             return st.pool.swap_remove(i);
         }
         drop(st);
-        crate::comm::count_fresh_alloc();
+        count_fresh_alloc();
         Vec::with_capacity(len)
     }
 
+    /// Return a spent payload buffer to the pool.
     pub(crate) fn return_buf(&self, mut buf: Vec<f64>) {
         buf.clear();
         let mut st = lock_tolerant(&self.state);
-        if st.pool.len() < crate::comm::POOL_CAP {
+        if st.pool.len() < POOL_CAP {
             st.pool.push(buf);
         }
     }

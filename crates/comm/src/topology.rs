@@ -251,7 +251,7 @@ impl CartComm {
     /// Receive the strip the `dir` neighbor posted toward us (it posted
     /// in the opposite direction); `Ok(None)` at a domain boundary.
     /// Errors surface the underlying [`CommError`] (timeout with
-    /// deadlock diagnostic when a fault injector armed a deadline).
+    /// deadlock diagnostic when a fault injector armed the wait).
     pub fn collect(
         &self,
         comm: &Comm,

@@ -1,28 +1,24 @@
 //! The SPMD runner: launch `n_ranks` simulated ranks, each with its
 //! communicator handle and its own [`MultiCostSink`] of virtual clocks.
 //!
-//! Two execution engines ([`Universe`]) can carry a launch:
+//! A conservative discrete-event core (see [`crate::sched`]) schedules
+//! the ranks.  Each rank is a resumable step function that yields at its
+//! blocking communication sites; a min-heap of ready ranks picks who
+//! runs next, and exactly one rank executes at any instant.  The OS
+//! threads spawned here are *carriers* — inert continuation holders
+//! that stay parked until the scheduler hands them the baton — so a
+//! launch scales to the paper's full 50-rank Table I grid and to
+//! O(1000)-rank weak-scaling sweeps: parked carriers cost nothing but
+//! lazily-mapped stack pages.  Fault timeouts and deadlocks resolve by
+//! exact quiescence detection, never by wall-clock deadlines.
 //!
-//! * **Event-driven** (default): a conservative discrete-event core
-//!   (see [`crate::sched`]) schedules the ranks.  Each rank is a
-//!   resumable step function that yields at its blocking communication
-//!   sites; a min-heap keyed on `(virtual clock, rank)` picks who runs
-//!   next, and exactly one rank executes at any instant.  The OS
-//!   threads spawned here are *carriers* — inert continuation holders
-//!   that stay parked until the scheduler hands them the baton — so a
-//!   launch scales to the paper's full 50-rank Table I grid and to
-//!   O(1000)-rank weak-scaling sweeps: parked carriers cost nothing but
-//!   lazily-mapped stack pages.  Fault timeouts and deadlocks resolve
-//!   by exact quiescence detection, never by wall-clock deadlines.
-//!
-//! * **Threads** (legacy, `V2D_UNIVERSE=threads`): one free-running OS
-//!   thread per rank.  Time is still *simulated*, so rank threads only
-//!   need to make progress, not run simultaneously — but every blocked
-//!   rank occupies a scheduling slot, fault deadlines burn wall time,
-//!   and a genuine deadlock can only be caught by an external watchdog.
-//!   It is kept as a differential-testing oracle: both universes share
-//!   all clock-charging code, so fields and clocks must match bit for
-//!   bit (the testkit's backend-equivalence suite asserts this).
+//! The [`Universe`] picks the dispatch order.  [`Universe::EventDriven`]
+//! is the production `(virtual clock, rank)` order;
+//! [`Universe::Shuffled`] is its oracle: a seeded, replayable choice
+//! among all ready ranks.  Every modeled quantity is independent of the
+//! order, so fields, clocks and traces must match bit for bit across
+//! orders (the testkit's schedule-equivalence suite asserts this), and
+//! a body whose result changes under some seed has a schedule race.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -32,34 +28,25 @@ use v2d_machine::{CompilerProfile, ExecCtx, MultiCostSink};
 use crate::comm::Comm;
 use crate::sched::{EventCore, SchedStats};
 
-/// Which execution engine carries an [`Spmd`] launch.
+/// The dispatch order of an [`Spmd`] launch's event core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Universe {
-    /// Discrete-event scheduler (default): deterministic handoff between
-    /// rank tasks, exact timeout/deadlock resolution, O(1000)-rank
-    /// capable.
+    /// The production order (default): the ready rank with the lowest
+    /// `(virtual clock, rank)` runs next.
     #[default]
     EventDriven,
-    /// Legacy thread-per-rank engine, kept as a differential oracle.
-    Threads,
+    /// The oracle order: every rank that becomes ready draws its heap
+    /// priority from a splitmix64 stream of this seed, so the next rank
+    /// to run is a seeded, replayable choice among all ready ranks.
+    Shuffled(u64),
 }
 
 impl Universe {
-    /// Resolve the universe from the `V2D_UNIVERSE` environment
-    /// variable: `threads` selects the legacy engine, anything else
-    /// (including unset) the event-driven default.
-    pub fn from_env() -> Self {
-        match std::env::var("V2D_UNIVERSE").as_deref() {
-            Ok("threads") => Universe::Threads,
-            _ => Universe::EventDriven,
-        }
-    }
-
-    /// Short stable name (`events` / `threads`).
+    /// Short stable name (`events` / `shuffled`).
     pub fn name(self) -> &'static str {
         match self {
             Universe::EventDriven => "events",
-            Universe::Threads => "threads",
+            Universe::Shuffled(_) => "shuffled",
         }
     }
 }
@@ -91,7 +78,7 @@ impl RankCtx {
 }
 
 /// An SPMD launch configuration (rank count + modeled compilers +
-/// execution engine).
+/// dispatch order).
 pub struct Spmd {
     n_ranks: usize,
     profiles: Vec<CompilerProfile>,
@@ -100,8 +87,7 @@ pub struct Spmd {
 
 impl Spmd {
     /// A launch of `n_ranks` ranks, modeling all four Table I compilers,
-    /// on the universe selected by `V2D_UNIVERSE` (event-driven unless
-    /// overridden).
+    /// in the default [`Universe::EventDriven`] order.
     pub fn new(n_ranks: usize) -> Self {
         assert!(n_ranks >= 1, "need at least one rank");
         Spmd {
@@ -110,7 +96,7 @@ impl Spmd {
                 .iter()
                 .map(|&id| CompilerProfile::of(id))
                 .collect(),
-            universe: Universe::from_env(),
+            universe: Universe::EventDriven,
         }
     }
 
@@ -122,8 +108,7 @@ impl Spmd {
         self
     }
 
-    /// Pin the launch to a specific execution engine, overriding the
-    /// environment selection.
+    /// Run the launch in a specific dispatch order.
     pub fn universe(mut self, universe: Universe) -> Self {
         self.universe = universe;
         self
@@ -140,54 +125,25 @@ impl Spmd {
         self.run_observed(body).0
     }
 
-    /// [`Spmd::run`], also returning the scheduler's activity counters
-    /// (zeros on the thread universe, which has no scheduler).
+    /// [`Spmd::run`], also returning the scheduler's activity counters.
+    ///
+    /// Each rank runs on a *carrier* thread that registers with the
+    /// core, parks until first dispatched, runs the rank body (which
+    /// yields back into the scheduler at every blocking comm site), and
+    /// retires its task on the way out — panics included, so the
+    /// scheduler can unwind the surviving ranks through typed errors
+    /// instead of hanging the join.
     pub fn run_observed<T, F>(&self, body: F) -> (Vec<T>, SchedStats)
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
-        match self.universe {
-            Universe::Threads => (self.run_threads(body), SchedStats::default()),
-            Universe::EventDriven => self.run_events(body),
-        }
-    }
-
-    /// Legacy engine: spawn one free-running thread per rank.
-    fn run_threads<T, F>(&self, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Send + Sync,
-    {
-        let comms = Comm::create(self.n_ranks);
-        let profiles = &self.profiles;
-        let body = &body;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.n_ranks);
-            for comm in comms {
-                handles.push(scope.spawn(move || {
-                    let sink = MultiCostSink::with_profiles(profiles);
-                    let mut ctx = RankCtx { comm, sink };
-                    body(&mut ctx)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))).collect()
-        })
-    }
-
-    /// Event engine: spawn one *carrier* per rank.  A carrier registers
-    /// with the core, parks until first dispatched, runs the rank body
-    /// (which yields back into the scheduler at every blocking comm
-    /// site), and retires its task on the way out — panics included, so
-    /// the scheduler can unwind the surviving ranks through typed
-    /// errors instead of hanging the join.
-    fn run_events<T, F>(&self, body: F) -> (Vec<T>, SchedStats)
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Send + Sync,
-    {
-        let core = EventCore::new(self.n_ranks);
-        let comms = Comm::create_event(&core);
+        let shuffle = match self.universe {
+            Universe::EventDriven => None,
+            Universe::Shuffled(seed) => Some(seed),
+        };
+        let core = EventCore::new(self.n_ranks, shuffle);
+        let comms = Comm::create(&core);
         let profiles = &self.profiles;
         let body = &body;
         let results: Vec<Result<T, Box<dyn std::any::Any + Send>>> = std::thread::scope(|scope| {
@@ -222,17 +178,18 @@ impl Spmd {
 mod tests {
     use super::*;
     use crate::comm::ReduceOp;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use v2d_machine::CompilerProfile;
 
     fn single_profile() -> Vec<CompilerProfile> {
         vec![CompilerProfile::cray_opt()]
     }
 
-    /// Run the same body on both universes (most tests below assert the
-    /// same contract against each engine).
+    /// Run the same body in the default order and one shuffled order
+    /// (most tests below assert a contract no order may break).
     fn on_both(f: impl Fn(Universe)) {
         f(Universe::EventDriven);
-        f(Universe::Threads);
+        f(Universe::Shuffled(0x5eed));
     }
 
     #[test]
@@ -277,18 +234,13 @@ mod tests {
 
     #[test]
     fn repeated_collectives_do_not_cross_rounds() {
-        // Exercises round-draining: many back-to-back collectives with
-        // staggered per-rank work between them.  The host-side stagger
-        // shuffles arrival order on the thread universe; the event
-        // universe interleaves rounds through its scheduler instead.
+        // Exercises round-draining: many back-to-back collectives.  The
+        // shuffled order interleaves rank arrivals across rounds.
         on_both(|u| {
             let n = 4;
             let outs = Spmd::new(n).with_profiles(single_profile()).universe(u).run(|ctx| {
                 let mut total = 0.0;
                 for round in 0..50 {
-                    if u == Universe::Threads && (ctx.rank() + round) % 3 == 0 {
-                        std::thread::yield_now();
-                    }
                     let v =
                         ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, (round + 1) as f64);
                     total += v;
@@ -438,10 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn universes_agree_on_clocks_bit_for_bit() {
-        // The differential contract the testkit's equivalence suite
-        // scales up: all charging code is shared, so the two engines
-        // must produce identical modeled clocks, not just answers.
+    fn dispatch_orders_agree_on_clocks_bit_for_bit() {
+        // The differential contract the testkit's schedule-equivalence
+        // suite scales up: modeled clocks, not just answers, must not
+        // depend on which ready rank runs first.
         let run = |u: Universe| {
             Spmd::new(6).with_profiles(single_profile()).universe(u).run(|ctx| {
                 let me = ctx.rank();
@@ -458,7 +410,39 @@ mod tests {
                 (acc.to_bits(), ctx.sink.lanes[0].clock.now().cycles())
             })
         };
-        assert_eq!(run(Universe::EventDriven), run(Universe::Threads));
+        let default = run(Universe::EventDriven);
+        for seed in 0..4 {
+            assert_eq!(run(Universe::Shuffled(seed)), default, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn shuffled_orders_replay_and_expose_a_schedule_race() {
+        // A deliberately racy body: each rank takes a ticket from a
+        // shared counter right after every allreduce, so the tickets
+        // record the order in which ranks left the collective.  The
+        // default order is deterministic, each seed replays exactly,
+        // and the seeds must actually reorder the ranks.
+        let run = |u: Universe| {
+            let counter = AtomicU64::new(0);
+            Spmd::new(6).with_profiles(single_profile()).universe(u).run(|ctx| {
+                (0..4)
+                    .map(|_| {
+                        ctx.comm.barrier(&mut ctx.sink);
+                        counter.fetch_add(1, Ordering::SeqCst)
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        };
+        let default = run(Universe::EventDriven);
+        assert_eq!(run(Universe::EventDriven), default, "default order must be deterministic");
+        let mut differs = 0;
+        for seed in 0..8 {
+            let shuffled = run(Universe::Shuffled(seed));
+            assert_eq!(run(Universe::Shuffled(seed)), shuffled, "seed {seed} must replay");
+            differs += usize::from(shuffled != default);
+        }
+        assert!(differs > 0, "no seed reordered the ranks: the shuffle is not engaged");
     }
 
     #[test]
@@ -477,8 +461,7 @@ mod tests {
 
     #[test]
     fn event_universe_scales_to_a_thousand_ranks() {
-        // The launch the thread universe cannot carry comfortably: every
-        // carrier is parked except the one rank holding the baton.
+        // Every carrier is parked except the one rank holding the baton.
         let (outs, stats) = Spmd::new(1000)
             .with_profiles(single_profile())
             .universe(Universe::EventDriven)
@@ -494,7 +477,7 @@ mod tests {
     fn exact_deadlock_reports_the_wait_graph() {
         // Two ranks each waiting on the other's message: the scheduler
         // proves quiescence and hands every rank the full wait graph as
-        // a typed error — no watchdog, no wall-clock deadline.
+        // a typed error — no wall-clock deadline.
         let outs = Spmd::new(2)
             .with_profiles(single_profile())
             .universe(Universe::EventDriven)

@@ -101,13 +101,12 @@ fn abandoned_collective_times_out_under_injector() {
     // Rank 0 dies (returns early, as a rank panicking before its next
     // collective would); rank 1 enters an allreduce that can never
     // complete.  With a fault injector armed the wait degrades into a
-    // typed CollectiveTimeout after the plan's real-time deadline.
+    // typed CollectiveTimeout once the run reaches quiescence.
     let outs = Spmd::new(2).with_profiles(profiles(2)).run(|ctx| {
         if ctx.rank() == 0 {
             return None;
         }
-        let plan = FaultPlan { recv_timeout_ms: 150, ..FaultPlan::empty() };
-        let mut inj = FaultInjector::new(plan, ctx.rank());
+        let mut inj = FaultInjector::new(FaultPlan::empty(), ctx.rank());
         let mut cx = ExecCtx::with_parts(&mut ctx.sink, None, Some(&mut inj), None);
         Some(ctx.comm.try_allreduce_scalar(&mut cx, coll_site::SOLVER_REDUCE, ReduceOp::Sum, 1.0))
     });
@@ -129,8 +128,7 @@ fn timeout_charges_the_modeled_virtual_cost() {
             return (true, 0u64);
         }
         let before = ctx.sink.lanes[0].clock.now().cycles();
-        let plan =
-            FaultPlan { recv_timeout_ms: 100, timeout_virtual_secs: secs, ..FaultPlan::empty() };
+        let plan = FaultPlan { timeout_virtual_secs: secs, ..FaultPlan::empty() };
         let mut inj = FaultInjector::new(plan, ctx.rank());
         let mut cx = ExecCtx::with_parts(&mut ctx.sink, None, Some(&mut inj), None);
         let out = ctx.comm.try_barrier(&mut cx, coll_site::SOLVER_REDUCE);
@@ -162,7 +160,7 @@ fn legacy_infallible_surface_escalates_mismatch_to_a_panic() {
 #[test]
 fn zero_fault_injector_collectives_are_bit_invisible() {
     // An armed (but never-firing) injector must not change collective
-    // results or clocks: the deadline machinery only matters on expiry.
+    // results or clocks: the timeout machinery only matters on expiry.
     let run = |armed: bool| {
         Spmd::new(2).with_profiles(profiles(2)).run(move |ctx| {
             let r = ctx.rank() as f64;

@@ -3,7 +3,7 @@
 //! random shapes.
 
 use proptest::prelude::*;
-use v2d_comm::{ReduceOp, Spmd, TileMap};
+use v2d_comm::{ReduceOp, Spmd, TileMap, Universe};
 use v2d_machine::CompilerProfile;
 
 proptest! {
@@ -77,21 +77,22 @@ proptest! {
     fn virtual_clocks_are_schedule_independent(
         n_ranks in 2usize..6,
         rounds in 1usize..12,
+        seed in 0u64..1_000_000,
     ) {
-        let run = move || {
+        let run = move |universe: Universe| {
             Spmd::new(n_ranks)
                 .with_profiles(vec![CompilerProfile::gnu()])
+                .universe(universe)
                 .run(move |ctx| {
                     for r in 0..rounds {
-                        // Stagger host-side to shuffle real arrival order.
-                        if (ctx.rank() + r) % 2 == 0 {
-                            std::thread::yield_now();
-                        }
+                        // Uneven local work between rounds.
+                        let work = ((ctx.rank() + r) % 3) as f64 * 1e-3;
+                        ctx.sink.lanes[0].advance_secs(work);
                         ctx.comm.allreduce_scalar(&mut ctx.sink, ReduceOp::Sum, r as f64);
                     }
                     ctx.sink.lanes[0].clock.now().cycles()
                 })
         };
-        prop_assert_eq!(run(), run());
+        prop_assert_eq!(run(Universe::EventDriven), run(Universe::Shuffled(seed)));
     }
 }

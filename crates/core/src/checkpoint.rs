@@ -153,7 +153,7 @@ fn gather_field(
 /// file; persist it from rank 0 with [`v2d_io::File::save`]).
 ///
 /// Fails with [`CheckpointError::Comm`] if the gather collective fails
-/// (lockstep mismatch, deadline expiry under fault injection); no file
+/// (lockstep mismatch, timeout under fault injection); no file
 /// is produced on any rank in that case.
 pub fn write_checkpoint(
     comm: &Comm,

@@ -44,10 +44,24 @@ use crate::sim::{HydroConfig, PrecondKind, V2dConfig};
 /// Parameter-file errors, with the line number where applicable.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ParError {
-    Syntax { line: usize, msg: String },
+    Syntax {
+        line: usize,
+        msg: String,
+    },
     Missing(String),
-    Invalid { key: String, msg: String },
-    Io { path: String, msg: String },
+    Invalid {
+        key: String,
+        msg: String,
+    },
+    Io {
+        path: String,
+        msg: String,
+    },
+    /// More ranks than zones along an axis: some rank would own none.
+    Tiling {
+        np: (usize, usize),
+        grid: (usize, usize),
+    },
 }
 
 impl fmt::Display for ParError {
@@ -57,6 +71,9 @@ impl fmt::Display for ParError {
             ParError::Missing(k) => write!(f, "missing required parameter `{k}`"),
             ParError::Invalid { key, msg } => write!(f, "parameter `{key}`: {msg}"),
             ParError::Io { path, msg } => write!(f, "{path}: {msg}"),
+            ParError::Tiling { np, grid } => {
+                write!(f, "{}x{} ranks cannot tile a {}x{} grid", np.0, np.1, grid.0, grid.1)
+            }
         }
     }
 }
@@ -353,6 +370,9 @@ impl ParFile {
         let nprx2: usize = self.scalar_or("run.nprx2", 1)?;
         check("run.nprx1", nprx1 >= 1, "process topology must be >= 1")?;
         check("run.nprx2", nprx2 >= 1, "process topology must be >= 1")?;
+        if nprx1 > n1 || nprx2 > n2 {
+            return Err(ParError::Tiling { np: (nprx1, nprx2), grid: (n1, n2) });
+        }
         Ok((cfg, (nprx1, nprx2)))
     }
 
@@ -517,6 +537,12 @@ mod tests {
                 other => panic!("`{to}` accepted: {other:?}"),
             }
         }
+        // More ranks than zones along an axis: a typed error, not a
+        // panic in the topology constructor.
+        let text = PAPER_PAR.replace("n1 = 200", "n1 = 5").replace("nprx1 = 1", "nprx1 = 7");
+        let err = ParFile::parse(&text).unwrap().to_config().unwrap_err();
+        assert_eq!(err, ParError::Tiling { np: (7, 1), grid: (5, 100) });
+        assert_eq!(err.to_string(), "7x1 ranks cannot tile a 5x100 grid");
     }
 
     #[test]

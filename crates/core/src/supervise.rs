@@ -2,7 +2,7 @@
 //! retries with virtual-clock backoff, and shrinking re-decomposition
 //! after permanent rank loss.
 //!
-//! [`run_supervised`] wraps a whole multi-rank launch the way a batch
+//! [`run_supervised_on`] wraps a whole multi-rank launch the way a batch
 //! scheduler wraps an MPI job.  Each *attempt* is one [`Spmd`] launch;
 //! inside it every rank steps its [`V2dSim`] through
 //! [`V2dSim::try_step`] and writes rotating checkpoints on the spec's
@@ -202,17 +202,9 @@ pub fn decompose(n_ranks: usize, n1: usize, n2: usize) -> (usize, usize) {
     (n_ranks, 1)
 }
 
-/// Supervise a run on the environment-selected [`Universe`].
-pub fn run_supervised(
-    spec: &SuperviseSpec,
-    policy: RetryPolicy,
-) -> Result<SuperviseReport, SuperviseError> {
-    run_supervised_on(spec, policy, Universe::from_env())
-}
-
-/// [`run_supervised`] pinned to an explicit [`Universe`] — the
-/// backend-equivalence tests and the bench gates run the same spec on a
-/// chosen engine.
+/// Supervise a run, every attempt launched in the `universe` dispatch
+/// order ([`Universe::EventDriven`] in production; the
+/// schedule-equivalence tests also replay specs shuffled).
 pub fn run_supervised_on(
     spec: &SuperviseSpec,
     policy: RetryPolicy,
@@ -247,8 +239,7 @@ pub fn run_supervised_on(
         }
         // The attempt failed.  Harvest the authoritative facts: which
         // ranks died (their own `Lost` verdicts — survivors' peer
-        // blame can be schedule-dependent on the thread universe and
-        // never enters the ledger), and how far the attempt got.
+        // blame never enters the ledger), and how far the attempt got.
         let victims: Vec<(usize, usize, bool)> = outcomes
             .iter()
             .enumerate()

@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use v2d_comm::{Spmd, TileMap};
+use v2d_comm::{Spmd, TileMap, Universe};
 use v2d_core::config_file::ParFile;
 use v2d_core::problems::{deck_from_config, ConvergenceMode, Family, ValidationReport, FAMILIES};
 use v2d_core::sim::V2dSim;
@@ -57,9 +57,12 @@ fn every_family_replays_bit_identically_and_ignores_an_empty_injector() {
     for family in FAMILIES {
         let (n1, n2, steps) = family.scenario().smoke();
         let spec = MiniSpec::linear(n1, n2, steps).tiled(2, 1).with_scenario(family);
-        let first = v2d_testkit::run_mini(&spec);
-        let second = v2d_testkit::run_mini(&spec);
-        let armed = v2d_testkit::run_mini(&spec.clone().with_plan(FaultPlan::empty()));
+        let first = v2d_testkit::run_mini_on(&spec, Universe::EventDriven);
+        let second = v2d_testkit::run_mini_on(&spec, Universe::EventDriven);
+        let armed = v2d_testkit::run_mini_on(
+            &spec.clone().with_plan(FaultPlan::empty()),
+            Universe::EventDriven,
+        );
         for (rank, out) in first.iter().enumerate() {
             assert!(out.converged(&spec), "{family}: rank {rank} did not converge: {out:?}");
             assert_eq!(out.bits, second[rank].bits, "{family}: rank {rank} replay drift");

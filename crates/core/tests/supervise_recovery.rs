@@ -2,14 +2,12 @@
 //! typed peer death, the supervisor rolls back to the newest checkpoint,
 //! shrinks onto the survivors, and the run completes — with a
 //! bit-identical recovery ledger and final fields on every replay.
-//!
-//! These tests run on `Universe::from_env`, so the CI smoke matrix
-//! drives them under both the event-driven and the threads engine.
 
 use std::path::PathBuf;
 
+use v2d_comm::Universe;
 use v2d_core::problems::{Family, GaussianPulse};
-use v2d_core::{run_supervised, RetryPolicy, SuperviseError, SuperviseSpec};
+use v2d_core::{run_supervised_on, RetryPolicy, SuperviseError, SuperviseSpec};
 use v2d_machine::{FaultKind, FaultPlan};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -35,7 +33,8 @@ fn pinned_spec(tag: &str, plan: FaultPlan, checkpoint_every: usize) -> Supervise
 fn rank_kill_recovers_via_rollback_and_shrink() {
     let plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::RankKill);
     let spec = pinned_spec("pin", plan, 1);
-    let report = run_supervised(&spec, RetryPolicy::default()).expect("run must recover");
+    let report = run_supervised_on(&spec, RetryPolicy::default(), Universe::EventDriven)
+        .expect("run must recover");
 
     assert_eq!(report.ledger.kills, 1);
     assert_eq!(report.ledger.rollbacks, 1);
@@ -54,7 +53,8 @@ fn rank_kill_recovers_via_rollback_and_shrink() {
     assert!(events.contains("shrink 2x1 -> 1x1"), "ledger:\n{events}");
 
     // Bit-identical replay: same spec, same policy, same trajectory.
-    let replay = run_supervised(&spec, RetryPolicy::default()).expect("replay must recover");
+    let replay = run_supervised_on(&spec, RetryPolicy::default(), Universe::EventDriven)
+        .expect("replay must recover");
     assert_eq!(report, replay, "recovery trajectory must replay bit-identically");
 }
 
@@ -64,7 +64,8 @@ fn stall_forever_recovers_without_checkpoints_by_restarting() {
     // every completed step is replayed.
     let plan = FaultPlan::empty().with_event(3, Some(1), FaultKind::RankStallForever);
     let spec = pinned_spec("nock", plan, 0);
-    let report = run_supervised(&spec, RetryPolicy::default()).expect("run must recover");
+    let report = run_supervised_on(&spec, RetryPolicy::default(), Universe::EventDriven)
+        .expect("run must recover");
 
     assert_eq!(report.ledger.kills, 1);
     assert_eq!(report.ledger.rollbacks, 1);
@@ -79,7 +80,7 @@ fn shrink_disabled_relaunches_at_full_width() {
     let plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::RankKill);
     let spec = pinned_spec("wide", plan, 1);
     let policy = RetryPolicy { allow_shrink: false, ..RetryPolicy::default() };
-    let report = run_supervised(&spec, policy).expect("run must recover");
+    let report = run_supervised_on(&spec, policy, Universe::EventDriven).expect("run must recover");
 
     assert_eq!(report.ledger.kills, 1);
     assert_eq!(report.ledger.rollbacks, 1);
@@ -92,7 +93,7 @@ fn exhausted_retry_budget_returns_the_full_ledger() {
     let plan = FaultPlan::empty().with_event(2, Some(0), FaultKind::RankKill);
     let spec = pinned_spec("budget", plan, 1);
     let policy = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-    match run_supervised(&spec, policy) {
+    match run_supervised_on(&spec, policy, Universe::EventDriven) {
         Err(SuperviseError::RetriesExhausted { ledger, last_error }) => {
             assert_eq!(ledger.attempts, 1);
             assert_eq!(ledger.kills, 1);
@@ -105,10 +106,18 @@ fn exhausted_retry_budget_returns_the_full_ledger() {
 
 #[test]
 fn kill_free_supervision_is_one_attempt_and_cadence_invariant() {
-    let a = run_supervised(&pinned_spec("clean_a", FaultPlan::empty(), 0), RetryPolicy::default())
-        .expect("clean run");
-    let b = run_supervised(&pinned_spec("clean_b", FaultPlan::empty(), 2), RetryPolicy::default())
-        .expect("clean run");
+    let a = run_supervised_on(
+        &pinned_spec("clean_a", FaultPlan::empty(), 0),
+        RetryPolicy::default(),
+        Universe::EventDriven,
+    )
+    .expect("clean run");
+    let b = run_supervised_on(
+        &pinned_spec("clean_b", FaultPlan::empty(), 2),
+        RetryPolicy::default(),
+        Universe::EventDriven,
+    )
+    .expect("clean run");
 
     for r in [&a, &b] {
         assert_eq!(r.ledger.attempts, 1);

@@ -203,7 +203,7 @@ impl StencilOp {
                 Ok(false) => {}
                 Err(e) => {
                     // A lost or late halo strip (only reachable when a
-                    // fault injector armed a receive deadline): keep the
+                    // fault injector armed a receive timeout): keep the
                     // stale ghost frame — a zero-order hold — instead of
                     // aborting the solve.  The tag stream realigns at
                     // the next exchange because each (src, dst) channel

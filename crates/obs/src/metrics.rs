@@ -89,9 +89,8 @@ impl Metrics {
     /// the `sched.*` namespace: `dispatches` (rank hand-offs of the
     /// event-driven scheduler) and `quiescences` (empty-ready-queue
     /// resolutions: exact timeouts or deadlock verdicts).  Both are
-    /// schedule-deterministic on the event universe, so reports
-    /// carrying them gate bit-for-bit like any modeled quantity; the
-    /// legacy thread universe reports zeros.
+    /// schedule-deterministic for a given dispatch order, so reports
+    /// carrying them gate bit-for-bit like any modeled quantity.
     pub fn record_sched(&mut self, dispatches: u64, quiescences: u64) {
         self.counter_add("sched.dispatches", dispatches);
         self.counter_add("sched.quiescences", quiescences);

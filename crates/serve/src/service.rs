@@ -66,9 +66,8 @@ pub struct ServeOpts {
     pub workers: usize,
     /// Result-cache capacity (entries).
     pub result_cache_cap: usize,
-    /// The execution engine every job is pinned to.  Defaults to the
-    /// event-driven scheduler — results must not depend on which
-    /// client's environment submitted a deck first.
+    /// The dispatch order every job runs in.  Defaults to the
+    /// production [`Universe::EventDriven`] order.
     pub universe: Universe,
     /// Start with the admission gate closed (script mode).
     pub gated: bool,
@@ -395,23 +394,12 @@ fn parse_submit(s: &Submit, universe: Universe) -> Result<Admitted, String> {
             np.0, np.1
         ));
     }
-    if np.0 > cfg.grid.n1 || np.1 > cfg.grid.n2 {
-        return Err(format!(
-            "deck: {}x{} ranks cannot tile a {}x{} grid",
-            np.0, np.1, cfg.grid.n1, cfg.grid.n2
-        ));
-    }
     let mut plan = FaultPlan::empty();
     for f in &s.faults {
         if f.rank.is_some_and(|r| r >= np.0 * np.1) {
             return Err(format!("fault targets rank {} of {}", f.rank.unwrap(), np.0 * np.1));
         }
         plan = plan.with_event(f.step, f.rank, f.kind);
-    }
-    if !s.faults.is_empty() {
-        // Faulty runs may wait on dead peers; keep the real-time
-        // deadline short so recovery latency is bounded.
-        plan.recv_timeout_ms = 500;
     }
     // Content hash: canonical deck + canonical fault lines + engine.
     // The raw deck text is NOT hashed — comment or whitespace changes

@@ -1,16 +1,18 @@
 //! The seeded schedule/fault fuzzer: each seed deterministically derives
 //! a mini-simulation (grid × tiling × physics × fault schedule ×
-//! recovery policy) and runs it under the watchdog, asserting the three
-//! harness-wide properties:
+//! recovery policy) and runs it, asserting the three harness-wide
+//! properties:
 //!
 //! * **no deadlock** — every run ends in convergence or a typed error
-//!   before the watchdog's real-time deadline;
-//! * **bit-identical replay** — the same seed reproduces the same final
-//!   field bits, fault log, and outcome, twice in a row;
+//!   (the event core turns a stuck schedule into a typed
+//!   `CommError::Deadlock`, so "the run returned" is the check);
+//! * **schedule-independent replay** — the same seed, replayed in a
+//!   seed-derived shuffled dispatch order ([`replay_order`]),
+//!   reproduces the same final field bits, fault log, and outcome;
 //! * **zero-fault bit-identity** — a seed whose derived plan has no
 //!   events produces exactly the bits of an injector-free run.
 
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use v2d_comm::Universe;
 use v2d_core::problems::FAMILIES;
@@ -19,31 +21,24 @@ use v2d_machine::fault::SplitMix64;
 use v2d_machine::FaultPlan;
 
 use crate::mini::{merged_log, run_mini_on, MiniSpec, RankRun};
-use crate::watchdog::{run_with_watchdog, Verdict};
 
-/// Cut the wall-clock-dependent tail off a timeout diagnostic: the
-/// blocked-rank snapshot in `Timeout`/`CollectiveTimeout` renderings
-/// depends on where the *other* rank threads happened to be at expiry
-/// (and, across universes, on which waiter the engine elects as the
-/// reporter).  Everything up to and including " timed out" is
-/// deterministic; replay comparisons use this normalized form (same
-/// convention as `ablation_faults`' golden).
-pub fn stable_text(what: &str) -> String {
-    match what.split_once(" timed out") {
-        Some((head, _)) => format!("{head} timed out …"),
-        None => what.to_string(),
-    }
+/// The shuffled dispatch order a seed's replay runs in.  A replay that
+/// matches the first run then proves the outcome independent of the
+/// schedule as well as deterministic.
+pub fn replay_order(seed: u64) -> Universe {
+    Universe::Shuffled(SplitMix64::new(seed ^ 0x5EED_0DE5).next_u64())
 }
 
-/// A [`RankRun`] with timeout diagnostics normalized for bit-exact
-/// replay comparison.
-pub fn stable(run: &RankRun) -> RankRun {
-    let mut out = run.clone();
-    out.error = out.error.map(|e| stable_text(&e));
-    for rec in &mut out.log {
-        rec.what = stable_text(&rec.what);
-    }
-    out
+/// Run `f`, turning a panic into an error message naming `what`.
+pub(crate) fn caught<T>(what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|e| {
+        let msg = e
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| e.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("{what} panicked: {msg}")
+    })
 }
 
 /// Grids the fuzzer samples from: small enough for CI, varied enough to
@@ -69,10 +64,7 @@ pub fn fuzz_spec(seed: u64) -> MiniSpec {
     };
     let mut spec = base.tiled(np1, np2);
     if n_events > 0 {
-        let mut plan = FaultPlan::campaign(seed, steps as u64, spec.ranks(), n_events);
-        // Short real-time deadline so dropped messages resolve fast; the
-        // modeled virtual penalty keeps its default.
-        plan.recv_timeout_ms = 250;
+        let plan = FaultPlan::campaign(seed, steps as u64, spec.ranks(), n_events);
         spec = spec.with_plan(plan);
     }
     let mut spec =
@@ -90,34 +82,15 @@ pub fn fuzz_spec(seed: u64) -> MiniSpec {
 }
 
 /// One seed's outcome, or a message describing which property failed.
-/// Runs on the environment-selected universe under a real-time
-/// watchdog.
-pub fn check_seed(seed: u64, deadline: Duration) -> Result<Vec<RankRun>, String> {
-    check_seed_on(seed, Some(deadline), Universe::from_env())
-}
-
-/// [`check_seed`] pinned to an explicit [`Universe`].  `deadline: None`
-/// skips the watchdog entirely — sound on
-/// [`Universe::EventDriven`], where a deadlocked schedule comes back as
-/// a typed [`v2d_comm::CommError::Deadlock`] instead of a hang, so
-/// there is nothing for a wall-clock guard to catch.
-pub fn check_seed_on(
-    seed: u64,
-    deadline: Option<Duration>,
-    universe: Universe,
-) -> Result<Vec<RankRun>, String> {
+/// The first run (and the zero-fault control) runs in `universe`; the
+/// replay runs in [`replay_order`]`(seed)`.
+pub fn check_seed_on(seed: u64, universe: Universe) -> Result<Vec<RankRun>, String> {
     let spec = fuzz_spec(seed);
-    let run = |spec: MiniSpec| match deadline {
-        Some(d) => run_with_watchdog(d, move || run_mini_on(&spec, universe)),
-        None => Verdict::Completed(run_mini_on(&spec, universe)),
+    let run = |what: &str, spec: &MiniSpec, universe: Universe| {
+        caught(&format!("seed {seed}: {what}"), || run_mini_on(spec, universe))
+            .map_err(|msg| format!("{msg} [{spec:?}]"))
     };
-    let first = match run(spec.clone()) {
-        Verdict::Completed(outs) => outs,
-        Verdict::Panicked(msg) => {
-            return Err(format!("seed {seed}: run panicked: {msg} [{spec:?}]"))
-        }
-        Verdict::TimedOut => return Err(format!("seed {seed}: DEADLOCK (watchdog) [{spec:?}]")),
-    };
+    let first = run("run", &spec, universe)?;
     // Every rank must either converge or end in a typed error.
     for (rank, out) in first.iter().enumerate() {
         if out.error.is_none() && out.steps_done != spec.steps {
@@ -127,19 +100,9 @@ pub fn check_seed_on(
             ));
         }
     }
-    // Replay must be bit-identical (fields, logs, outcomes).
-    let second = match run(spec.clone()) {
-        Verdict::Completed(outs) => outs,
-        Verdict::Panicked(msg) => {
-            return Err(format!("seed {seed}: replay panicked: {msg} [{spec:?}]"))
-        }
-        Verdict::TimedOut => {
-            return Err(format!("seed {seed}: replay DEADLOCK (watchdog) [{spec:?}]"))
-        }
-    };
-    let (a, b): (Vec<RankRun>, Vec<RankRun>) =
-        (first.iter().map(stable).collect(), second.iter().map(stable).collect());
-    if a != b {
+    // The shuffled replay must be bit-identical (fields, logs, outcomes).
+    let second = run("replay", &spec, replay_order(seed))?;
+    if first != second {
         return Err(format!(
             "seed {seed}: replay drift [{spec:?}]\nfirst log:\n{}\nsecond log:\n{}",
             merged_log(&first),
@@ -149,10 +112,7 @@ pub fn check_seed_on(
     // A zero-fault plan must be bit-invisible next to no injector at all.
     if spec.plan.as_ref().is_none_or(|p| p.events.is_empty()) {
         let bare = MiniSpec { plan: None, ..spec.clone() };
-        let control = match run(bare) {
-            Verdict::Completed(outs) => outs,
-            other => return Err(format!("seed {seed}: control run failed: {other:?}")),
-        };
+        let control = run("control run", &bare, universe)?;
         for (rank, (a, b)) in first.iter().zip(&control).enumerate() {
             if a.bits != b.bits {
                 return Err(format!(
@@ -165,25 +125,13 @@ pub fn check_seed_on(
     Ok(first)
 }
 
-/// Check `seeds` sequentially, collecting every failing seed with its
-/// diagnosis.  Runs stay sequential on purpose: the mini-sims already
-/// spawn one carrier thread per rank, and wall-clock budgeting is per
-/// case.
-pub fn campaign(seeds: impl IntoIterator<Item = u64>, deadline: Duration) -> Vec<(u64, String)> {
-    campaign_on(seeds, Some(deadline), Universe::from_env())
-}
-
-/// [`campaign`] pinned to an explicit [`Universe`], with the watchdog
-/// optional (see [`check_seed_on`]).  The scheduled 200-seed campaign
-/// runs this on [`Universe::EventDriven`] with no watchdog.
-pub fn campaign_on(
-    seeds: impl IntoIterator<Item = u64>,
-    deadline: Option<Duration>,
-    universe: Universe,
-) -> Vec<(u64, String)> {
+/// Check `seeds` sequentially in `universe`, collecting every failing
+/// seed with its diagnosis.  Runs stay sequential on purpose: the
+/// mini-sims already spawn one carrier thread per rank.
+pub fn campaign_on(seeds: impl IntoIterator<Item = u64>, universe: Universe) -> Vec<(u64, String)> {
     let mut failures = Vec::new();
     for seed in seeds {
-        if let Err(msg) = check_seed_on(seed, deadline, universe) {
+        if let Err(msg) = check_seed_on(seed, universe) {
             failures.push((seed, msg));
         }
     }

@@ -3,21 +3,19 @@
 //! The shared scaffolding behind the workspace's multi-rank tests:
 //!
 //! * [`mini`] — declarative mini-simulation specs ([`MiniSpec`]) and the
-//!   one harness ([`run_mini`]) that stands them up on simulated ranks,
-//!   collecting per-rank bits, recovery counts, typed errors, and fault
-//!   logs;
-//! * [`watchdog`] — a real-time watchdog ([`run_with_watchdog`]) that
-//!   turns a deadlocked launch into a test failure instead of a hung CI
-//!   job;
+//!   one harness ([`run_mini_on`]) that stands them up on simulated
+//!   ranks, collecting per-rank bits, recovery counts, typed errors, and
+//!   fault logs;
 //! * [`fuzz`] — the seeded schedule/fault fuzzer ([`fuzz_spec`],
-//!   [`check_seed`], [`campaign`]) asserting no-deadlock, bit-identical
-//!   replay, and zero-fault bit-identity over grid × tiling × fault ×
-//!   policy coordinates;
+//!   [`check_seed_on`], [`campaign_on`]) asserting no-deadlock,
+//!   bit-identical replay in a shuffled dispatch order
+//!   ([`replay_order`]), and zero-fault bit-identity over grid × tiling
+//!   × fault × policy coordinates;
 //! * [`supfuzz`] — the rank-kill/recovery axis
 //!   ([`supervise_fuzz_case`], [`check_supervise_seed_on`]) sweeping
 //!   supervised runs over kills × retry budgets × shrink on/off and
-//!   asserting completion-or-typed-error, bit-identical replay, and
-//!   zero-kill bit-identity;
+//!   asserting completion-or-typed-error, bit-identical shuffled replay,
+//!   and zero-kill bit-identity;
 //! * [`servefuzz`] — the service request-mix axis ([`serve_fuzz_case`],
 //!   [`check_serve_seed`]) sweeping scripted `v2d-serve` campaigns over
 //!   request mixes × worker counts × result-cache capacities and
@@ -32,12 +30,8 @@ pub mod fuzz;
 pub mod mini;
 pub mod servefuzz;
 pub mod supfuzz;
-pub mod watchdog;
 
-pub use fuzz::{campaign, campaign_on, check_seed, check_seed_on, fuzz_spec, stable, stable_text};
-pub use mini::{
-    merged_log, run_mini, run_mini_observed, run_mini_on, MiniSpec, RankObservation, RankRun,
-};
+pub use fuzz::{campaign_on, check_seed_on, fuzz_spec, replay_order};
+pub use mini::{merged_log, run_mini_observed, run_mini_on, MiniSpec, RankObservation, RankRun};
 pub use servefuzz::{check_serve_seed, serve_fuzz_case};
 pub use supfuzz::{check_supervise_seed_on, supervise_fuzz_case};
-pub use watchdog::{run_with_watchdog, Verdict};

@@ -196,16 +196,10 @@ fn drive(spec: &MiniSpec, sim: &mut V2dSim, comm: &Comm, sink: &mut MultiCostSin
 }
 
 /// Run the spec on `spec.ranks()` simulated ranks (one compiler lane,
-/// Cray-opt) under the environment-selected [`Universe`] and collect
-/// per-rank outcomes.  The fuzzer's *no-deadlock* property is exactly
-/// "this function returns" — on the event-driven universe a deadlock
-/// would come back as a typed error instead of a hang.
-pub fn run_mini(spec: &MiniSpec) -> Vec<RankRun> {
-    run_mini_on(spec, Universe::from_env())
-}
-
-/// [`run_mini`] pinned to an explicit [`Universe`] — the
-/// backend-equivalence tests run the same spec on both engines.
+/// Cray-opt) in the `universe` dispatch order and collect per-rank
+/// outcomes.  The fuzzer's *no-deadlock* property is exactly "this
+/// function returns": a deadlock comes back as a typed error instead
+/// of a hang.
 pub fn run_mini_on(spec: &MiniSpec, universe: Universe) -> Vec<RankRun> {
     let spec = spec.clone();
     Spmd::new(spec.ranks()).with_profiles(vec![CompilerProfile::cray_opt()]).universe(universe).run(
@@ -218,7 +212,7 @@ pub fn run_mini_on(spec: &MiniSpec, universe: Universe) -> Vec<RankRun> {
 
 /// [`run_mini_on`] with a tracer attached: returns each rank's outcome
 /// together with its final virtual clocks and full trace, the raw
-/// material for bit-for-bit cross-universe comparison.
+/// material for bit-for-bit comparison across dispatch orders.
 pub fn run_mini_observed(spec: &MiniSpec, universe: Universe) -> Vec<RankObservation> {
     let spec = spec.clone();
     Spmd::new(spec.ranks()).with_profiles(vec![CompilerProfile::cray_opt()]).universe(universe).run(

@@ -3,18 +3,18 @@
 //! × retry budget × shrink on/off) and asserts the supervisor's
 //! harness-wide properties:
 //!
-//! * **completion or typed error** — `run_supervised` always returns,
+//! * **completion or typed error** — `run_supervised_on` always returns,
 //!   either a [`SuperviseReport`] or a typed [`SuperviseError`] carrying
 //!   the full recovery ledger; never a hang or a panic;
-//! * **bit-identical replay** — the same seed reproduces the same
-//!   `Result` (ledger, final fields, decomposition, error) twice in a
-//!   row, structurally compared;
+//! * **schedule-independent replay** — the same seed, replayed in a
+//!   seed-derived shuffled dispatch order, reproduces the same `Result`
+//!   (ledger, final fields, decomposition, error), structurally
+//!   compared;
 //! * **zero-kill bit-identity** — a seed whose plan schedules no kills
 //!   makes exactly one attempt with an empty ledger, and its final
 //!   fields do not depend on the checkpoint cadence.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use v2d_comm::Universe;
 use v2d_core::problems::{Family, GaussianPulse};
@@ -23,8 +23,7 @@ use v2d_core::SuperviseError;
 use v2d_machine::fault::SplitMix64;
 use v2d_machine::{FaultKind, FaultPlan};
 
-use crate::fuzz::{GRIDS, TILINGS};
-use crate::watchdog::{run_with_watchdog, Verdict};
+use crate::fuzz::{caught, replay_order, GRIDS, TILINGS};
 
 /// Derive the supervised scenario for `seed`.  Pure function of the
 /// seed (plus a process-unique scratch directory, which never affects
@@ -65,40 +64,25 @@ fn scratch_dir(seed: u64, tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("v2d_supfuzz_{seed}_{tag}_{}", std::process::id()))
 }
 
-/// One seed's supervised outcome, checked against every property, on an
-/// explicit [`Universe`].  Returns the (replay-verified) outcome so
-/// callers can compare it across universes.  `deadline: None` skips the
-/// watchdog (sound on the event-driven universe, where a stuck schedule
-/// is a typed error).
+/// One seed's supervised outcome, checked against every property.  The
+/// first run (and the kill-free control) runs in `universe`, the replay
+/// in [`replay_order`]`(seed)`.  Returns the replay-verified outcome so
+/// callers can compare it across dispatch orders.
 pub fn check_supervise_seed_on(
     seed: u64,
-    deadline: Option<Duration>,
     universe: Universe,
 ) -> Result<Result<SuperviseReport, SuperviseError>, String> {
     let (spec, policy) = supervise_fuzz_case(seed);
-    let run = |spec: SuperviseSpec,
-               policy: RetryPolicy|
-     -> Verdict<Result<SuperviseReport, SuperviseError>> {
-        match deadline {
-            Some(d) => run_with_watchdog(d, move || run_supervised_on(&spec, policy, universe)),
-            None => Verdict::Completed(run_supervised_on(&spec, policy, universe)),
-        }
+    let run = |what: &str, spec: &SuperviseSpec, universe: Universe| {
+        caught(&format!("seed {seed}: supervised {what}"), || {
+            run_supervised_on(spec, policy, universe)
+        })
+        .map_err(|msg| format!("{msg} [{spec:?}]"))
     };
     // Property 1: the supervisor returns — completion or typed error.
-    let first = match run(spec.clone(), policy) {
-        Verdict::Completed(res) => res,
-        Verdict::Panicked(msg) => {
-            return Err(format!("seed {seed}: supervised run panicked: {msg} [{spec:?}]"))
-        }
-        Verdict::TimedOut => {
-            return Err(format!("seed {seed}: supervised DEADLOCK (watchdog) [{spec:?}]"))
-        }
-    };
-    // Property 2: bit-identical replay of the whole Result.
-    let second = match run(spec.clone(), policy) {
-        Verdict::Completed(res) => res,
-        other => return Err(format!("seed {seed}: replay did not complete: {other:?}")),
-    };
+    let first = run("run", &spec, universe)?;
+    // Property 2: the shuffled replay reproduces the whole Result.
+    let second = run("replay", &spec, replay_order(seed))?;
     if first != second {
         return Err(format!(
             "seed {seed}: supervised replay drift [{spec:?}]\nfirst:  {first:?}\nsecond: {second:?}"
@@ -124,9 +108,9 @@ pub fn check_supervise_seed_on(
         let control_spec =
             SuperviseSpec { checkpoint_every: 0, dir: scratch_dir(seed, "ctl"), ..spec.clone() };
         let control_dir = control_spec.dir.clone();
-        let control = match run(control_spec, policy) {
-            Verdict::Completed(Ok(r)) => r,
-            other => return Err(format!("seed {seed}: control run failed: {other:?}")),
+        let control = match run("control run", &control_spec, universe)? {
+            Ok(r) => r,
+            Err(e) => return Err(format!("seed {seed}: control run failed: {e}")),
         };
         let _ = std::fs::remove_dir_all(control_dir);
         if report.final_bits != control.final_bits {

@@ -10,12 +10,12 @@
 //! agrees on the non-finite breakdown, and the driver's scrub rung
 //! cleans the field and retries.  The contract pinned here: the run
 //! *completes* — convergence or typed error on every rank, never a
-//! hang — and in practice recovers.
+//! hang — and in practice recovers.  A hang cannot hide here: the
+//! event core would turn one into a typed `CommError::Deadlock`.
 
-use std::time::Duration;
-
+use v2d_comm::Universe;
 use v2d_machine::{FaultKind, FaultPlan};
-use v2d_testkit::{merged_log, run_mini, run_with_watchdog, MiniSpec};
+use v2d_testkit::{merged_log, run_mini_on, MiniSpec};
 
 /// The exact ROADMAP coordinates.
 fn roadmap_spec() -> MiniSpec {
@@ -26,9 +26,7 @@ fn roadmap_spec() -> MiniSpec {
 #[test]
 fn nonlinear_field_nan_at_roadmap_coordinates_completes_and_recovers() {
     let spec = roadmap_spec();
-    let outs = run_with_watchdog(Duration::from_secs(120), move || run_mini(&spec))
-        .expect_completed("roadmap FieldNan coordinates");
-    let spec = roadmap_spec();
+    let outs = run_mini_on(&spec, Universe::EventDriven);
     let log = merged_log(&outs);
     for (rank, out) in outs.iter().enumerate() {
         assert!(
@@ -55,11 +53,7 @@ fn nonlinear_field_nan_at_roadmap_coordinates_completes_and_recovers() {
 
 #[test]
 fn roadmap_coordinates_replay_bit_identically() {
-    let run = || {
-        let spec = roadmap_spec();
-        run_with_watchdog(Duration::from_secs(120), move || run_mini(&spec))
-            .expect_completed("roadmap replay")
-    };
+    let run = || run_mini_on(&roadmap_spec(), Universe::EventDriven);
     let a = run();
     let b = run();
     assert_eq!(a, b, "the deadlock-regression scenario must replay bit-identically");

@@ -1,21 +1,14 @@
 //! The seeded schedule/fault fuzzer, in two sizes: an always-on smoke
 //! band, and the `#[ignore]`d full campaign the scheduled CI job runs
-//! (≥ 200 scenarios, wall-clock bounded per case by the watchdog).
+//! (≥ 200 scenarios).  Every seed replays in its own shuffled dispatch
+//! order, so the campaign checks schedule independence as it goes.
 //!
 //! A failure names the seed — reproduce locally with
-//! `v2d_testkit::check_seed(seed, ...)`; the derived spec is printed in
-//! the diagnosis.
-
-use std::time::Duration;
+//! `v2d_testkit::check_seed_on(seed, Universe::EventDriven)`; the
+//! derived spec is printed in the diagnosis.
 
 use v2d_comm::Universe;
-use v2d_testkit::{campaign, campaign_on, fuzz_spec};
-
-/// Per-case real-time budget.  Generous: a case is a few steps of a
-/// ≤ 24×12 mini-sim, milliseconds when healthy; the budget only matters
-/// when a scenario hangs, and then the campaign eats it once per
-/// failing seed.
-const CASE_DEADLINE: Duration = Duration::from_secs(60);
+use v2d_testkit::{campaign_on, fuzz_spec};
 
 fn report(failures: &[(u64, String)]) -> String {
     failures.iter().map(|(_, msg)| msg.as_str()).collect::<Vec<_>>().join("\n---\n")
@@ -23,7 +16,7 @@ fn report(failures: &[(u64, String)]) -> String {
 
 #[test]
 fn fuzz_smoke_band_is_deadlock_free_and_replays() {
-    let failures = campaign(0..32, CASE_DEADLINE);
+    let failures = campaign_on(0..32, Universe::EventDriven);
     assert!(failures.is_empty(), "{} failing seed(s):\n{}", failures.len(), report(&failures));
 }
 
@@ -37,14 +30,12 @@ fn fuzz_spec_is_a_pure_function_of_the_seed() {
 }
 
 /// The full campaign: 200 seeded scenarios across grids × tilings ×
-/// fault schedules × recovery policies, pinned to the event-driven
-/// universe with **no watchdog** — a deadlocked schedule comes back as
-/// a typed `CommError::Deadlock` naming the seed, not a hang, so the
-/// wall-clock guard has nothing left to catch.  Scheduled-CI only; run
-/// with `cargo test -p v2d-testkit -- --ignored`.
+/// fault schedules × recovery policies — a deadlocked schedule comes
+/// back as a typed `CommError::Deadlock` naming the seed, not a hang.
+/// Scheduled-CI only; run with `cargo test -p v2d-testkit -- --ignored`.
 #[test]
 #[ignore = "slow: 200-scenario campaign for the scheduled CI job"]
 fn fuzz_full_campaign_200_scenarios() {
-    let failures = campaign_on(0..200, None, Universe::EventDriven);
+    let failures = campaign_on(0..200, Universe::EventDriven);
     assert!(failures.is_empty(), "{} failing seed(s):\n{}", failures.len(), report(&failures));
 }

@@ -21,9 +21,7 @@
 //!   one at a time; each connection is one NDJSON session);
 //! * `--stdio` — single session on stdin/stdout (the default);
 //! * `--workers N` — worker threads in the job pool (default 2);
-//! * `--cache N` — result-cache capacity in entries (default 64);
-//! * `--universe events|threads` — execution engine for every job
-//!   (default `events`).
+//! * `--cache N` — result-cache capacity in entries (default 64).
 //!
 //! A `{"req":"shutdown","id":…}` request drains in-flight jobs, answers
 //! `bye`, and exits the daemon.
@@ -55,16 +53,9 @@ fn main() {
                     .parse()
                     .expect("--cache needs an integer")
             }
-            "--universe" => {
-                opts.universe = match args.next().expect("--universe needs a name").as_str() {
-                    "events" => v2d_comm::Universe::EventDriven,
-                    "threads" => v2d_comm::Universe::Threads,
-                    other => panic!("unknown universe {other:?} (expected events|threads)"),
-                }
-            }
             other => panic!(
                 "unknown argument {other:?} (expected --socket PATH / --stdio / --workers N / \
-                 --cache N / --universe events|threads)"
+                 --cache N)"
             ),
         }
     }
